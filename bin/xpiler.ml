@@ -139,12 +139,12 @@ let trace_level_arg =
 
 let parse_shape op = function
   | None -> List.hd op.Opdef.shapes
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.map (fun kv ->
-           match String.split_on_char '=' kv with
-           | [ k; v ] -> (String.trim k, int_of_string (String.trim v))
-           | _ -> failwith ("bad shape component " ^ kv))
+  | Some s -> (
+    match Opdef.shape_of_string op s with
+    | Ok shape -> shape
+    | Error msg ->
+      Printf.eprintf "bad --shape for %s: %s\n" op.Opdef.name msg;
+      exit 2)
 
 let find_op name =
   match Registry.find name with

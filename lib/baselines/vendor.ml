@@ -19,16 +19,12 @@ let advantage (op : Opdef.t) =
 
 (* the vendor library's engineers also tune their schedules: the baseline is
    the expert kernel after the same search the transcompiler gets *)
-let tuned_cache : (string, float) Hashtbl.t = Hashtbl.create 64
+module Tuned = Xpiler_util.Cache.Make (String)
+
+let tuned_cache : float Tuned.t = Tuned.create ~capacity:4096 ()
 
 let tuned_expert_seconds pid (op : Opdef.t) shape =
-  let key =
-    Printf.sprintf "%s/%s/%s" (Platform.id_to_string pid) op.Opdef.name
-      (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
-  in
-  match Hashtbl.find_opt tuned_cache key with
-  | Some s -> s
-  | None ->
+  let tune () =
     let platform = Platform.of_id pid in
     let expert = Idiom.source pid op shape in
     let base = (Costmodel.estimate platform expert ~shapes:[]).Costmodel.seconds in
@@ -40,9 +36,9 @@ let tuned_expert_seconds pid (op : Opdef.t) shape =
     let tuned =
       (Costmodel.estimate platform r.Mcts.best_kernel ~shapes:[]).Costmodel.seconds
     in
-    let s = Float.min base tuned in
-    Hashtbl.replace tuned_cache key s;
-    s
+    Float.min base tuned
+  in
+  (Tuned.find_or_add tuned_cache (Idiom.cache_key pid op shape) tune).value
 
 let seconds pid op shape = tuned_expert_seconds pid op shape /. advantage op
 

@@ -1034,14 +1034,15 @@ let run_prefix ?(fuel = 200_000_000) c ~stop_after args =
 (* Keyed by [Kernel.cache_key] — the same helper that addresses the native
    backend's on-disk artifact cache — so the two caches cannot diverge on a
    collision. *)
-let cache : (string, t) Hashtbl.t = Hashtbl.create 64
-let cache_mutex = Mutex.create ()
-let cache_limit = 4096
+module Cache = Xpiler_util.Cache.Make (String)
+
+let cache : t Cache.t = Cache.create ~capacity:4096 ()
 
 module Metrics = Xpiler_obs.Metrics
 
-(* Stable: [cached] is called from the master domain's unit-test path, so
-   hit/miss counts are a pure function of the workload. *)
+(* Stable: [cached] runs on the master domain's unit-test path and counts a
+   miss once per entry inserted, so hit/miss counts are a pure function of
+   the workload. *)
 let m_cache_hits =
   Metrics.counter ~help:"compile cache lookups by result" ~labels:[ ("result", "hit") ]
     "xpiler_compile_cache_lookups_total"
@@ -1050,21 +1051,11 @@ let m_cache_misses =
   Metrics.counter ~labels:[ ("result", "miss") ] "xpiler_compile_cache_lookups_total"
 
 let m_cache_resets =
-  Metrics.counter ~help:"full cache resets under capacity pressure" "xpiler_compile_cache_resets_total"
+  Metrics.counter ~help:"capacity evictions (each drops half the cache)"
+    "xpiler_compile_cache_resets_total"
 
 let cached k =
-  let key = Kernel.cache_key k in
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache key with
-      | Some c ->
-        Metrics.inc m_cache_hits;
-        c
-      | None ->
-        Metrics.inc m_cache_misses;
-        if Hashtbl.length cache >= cache_limit then begin
-          Metrics.inc m_cache_resets;
-          Hashtbl.reset cache
-        end;
-        let c = compile k in
-        Hashtbl.add cache key c;
-        c)
+  let r = Cache.find_or_add cache (Kernel.cache_key k) (fun () -> compile k) in
+  Metrics.inc (if r.hit then m_cache_hits else m_cache_misses);
+  if r.evicted > 0 then Metrics.inc m_cache_resets;
+  r.value

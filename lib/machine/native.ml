@@ -930,15 +930,17 @@ let emit_source (k : Kernel.t) : string =
 
 (* ---- compile, load, cache ----------------------------------------------- *)
 
+(* serializes artifact builds and Dynlink loads, not memo lookups *)
 let lock = Mutex.create ()
-let memo : (string, (abi -> unit) option) Hashtbl.t = Hashtbl.create 32
-let memo_limit = 1024
+
+module Memo = Xpiler_util.Cache.Make (String)
+
+let memo : (abi -> unit) option Memo.t = Memo.create ~capacity:1024 ()
 let warned = ref false
 
 let reset_memo_for_testing () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset memo;
-      warned := false)
+  Memo.clear memo;
+  Mutex.protect lock (fun () -> warned := false)
 
 let log_fallback_once what msg =
   if not !warned then begin
@@ -1059,12 +1061,9 @@ let get_entry (k : Kernel.t) : (abi -> unit) option =
   end
   else
     let key = kernel_key k in
-    Mutex.protect lock @@ fun () ->
-    match Hashtbl.find_opt memo key with
-    | Some entry ->
-      Metrics.inc m_memo_hit;
-      entry
-    | None ->
+    let r =
+      Memo.find_or_add memo key @@ fun () ->
+      Mutex.protect lock @@ fun () ->
       let dir = cache_dir () in
       mkdir_p dir;
       let path = Filename.concat dir (key ^ ".cmxs") in
@@ -1083,27 +1082,25 @@ let get_entry (k : Kernel.t) : (abi -> unit) option =
         end
         else None
       in
-      let entry =
-        match from_disk with
-        | Some fn -> Some fn
-        | None -> (
-          Metrics.inc m_miss;
-          match compile_artifact k key dir path with
+      match from_disk with
+      | Some fn -> Some fn
+      | None -> (
+        Metrics.inc m_miss;
+        match compile_artifact k key dir path with
+        | Error msg ->
+          log_fallback_once k.Kernel.name msg;
+          None
+        | Ok () -> (
+          match load_entry path with
+          | Ok fn ->
+            evict_if_needed dir;
+            Some fn
           | Error msg ->
             log_fallback_once k.Kernel.name msg;
-            None
-          | Ok () -> (
-            match load_entry path with
-            | Ok fn ->
-              evict_if_needed dir;
-              Some fn
-            | Error msg ->
-              log_fallback_once k.Kernel.name msg;
-              None))
-      in
-      if Hashtbl.length memo >= memo_limit then Hashtbl.reset memo;
-      Hashtbl.replace memo key entry;
-      entry
+            None))
+    in
+    if r.hit then Metrics.inc m_memo_hit;
+    r.value
 
 (* ---- cache maintenance (the [xpiler cache] subcommand) ------------------ *)
 

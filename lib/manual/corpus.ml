@@ -141,29 +141,28 @@ let parallel_entries pid =
         })
       p.Platform.axes
 
-let entries_table : (Platform.id, entry list) Hashtbl.t = Hashtbl.create 4
-let index_table : (Platform.id, Bm25.index) Hashtbl.t = Hashtbl.create 4
+(* shared by pool workers, so a plain Hashtbl would race *)
+module By_platform = Xpiler_util.Cache.Make (struct
+  type t = Platform.id
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
+let entries_table : entry list By_platform.t = By_platform.create ~capacity:8 ()
+let index_table : Bm25.index By_platform.t = By_platform.create ~capacity:8 ()
 
 let entries pid =
-  match Hashtbl.find_opt entries_table pid with
-  | Some es -> es
-  | None ->
-    let es = intrinsic_entries pid @ memory_entries pid @ parallel_entries pid in
-    Hashtbl.add entries_table pid es;
-    es
+  let build () = intrinsic_entries pid @ memory_entries pid @ parallel_entries pid in
+  (By_platform.find_or_add entries_table pid build).value
 
 let find pid id = List.find_opt (fun e -> String.equal e.id id) (entries pid)
 
 let index pid =
-  match Hashtbl.find_opt index_table pid with
-  | Some idx -> idx
-  | None ->
-    let idx =
-      Bm25.build
-        (List.map (fun e -> { Bm25.id = e.id; text = e.title ^ " " ^ e.body }) (entries pid))
-    in
-    Hashtbl.add index_table pid idx;
-    idx
+  let build () =
+    Bm25.build (List.map (fun e -> { Bm25.id = e.id; text = e.title ^ " " ^ e.body }) (entries pid))
+  in
+  (By_platform.find_or_add index_table pid build).value
 
 let lookup_op pid op =
   List.find_opt (fun e -> e.op = Some op) (entries pid)

@@ -369,17 +369,17 @@ let candidate_pipelines pid (op : Opdef.t) shape (serial : Kernel.t) =
 let pipelines_for pid (op : Opdef.t) shape (kernel : Kernel.t) =
   candidate_pipelines pid op shape kernel
 
-let pipeline_cache : (string, Pass.spec list) Hashtbl.t = Hashtbl.create 64
+(* shared by pool workers, so a plain Hashtbl would race *)
+module Pipelines = Xpiler_util.Cache.Make (String)
+
+let pipeline_cache : Pass.spec list Pipelines.t = Pipelines.create ~capacity:4096 ()
 
 let cache_key pid (op : Opdef.t) shape =
   Printf.sprintf "%s/%s/%s" (Platform.id_to_string pid) op.Opdef.name
     (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape))
 
 let golden_pipeline pid (op : Opdef.t) shape =
-  let key = cache_key pid op shape in
-  match Hashtbl.find_opt pipeline_cache key with
-  | Some specs -> specs
-  | None ->
+  let choose () =
     let platform = Platform.of_id pid in
     let serial = op.Opdef.serial shape in
     let ok k =
@@ -393,9 +393,9 @@ let golden_pipeline pid (op : Opdef.t) shape =
           | Error _ -> false)
         (candidate_pipelines pid op shape serial)
     in
-    let specs = Option.value ~default:[] chosen in
-    Hashtbl.replace pipeline_cache key specs;
-    specs
+    Option.value ~default:[] chosen
+  in
+  (Pipelines.find_or_add pipeline_cache (cache_key pid op shape) choose).value
 
 let source pid (op : Opdef.t) shape =
   let platform = Platform.of_id pid in

@@ -16,6 +16,10 @@ val source : Platform.id -> Opdef.t -> Opdef.shape -> Kernel.t
 val source_text : Platform.id -> Opdef.t -> Opdef.shape -> string
 (** The idiomatic kernel rendered in the platform's surface dialect. *)
 
+val cache_key : Platform.id -> Opdef.t -> Opdef.shape -> string
+(** ["platform/op/dim=n,..."]: the key of every per-(platform, op, shape)
+    cache. *)
+
 val golden_pipeline :
   Platform.id -> Opdef.t -> Opdef.shape -> Xpiler_passes.Pass.spec list
 (** The pass sequence [source] applies (empty when the serial kernel is

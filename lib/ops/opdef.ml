@@ -25,6 +25,26 @@ let dim sh name =
   | Some v -> v
   | None -> raise (Not_found)
 
+let shape_of_string t s =
+  let dims = List.map fst (List.hd t.shapes) in
+  let err fmt = Printf.ksprintf Result.error fmt in
+  let add acc kv =
+    Result.bind acc @@ fun shape ->
+    match List.map String.trim (String.split_on_char '=' kv) with
+    | [ k; _ ] when not (List.mem k dims) ->
+      err "%s has no dimension %s (dimensions: %s)" t.name k (String.concat "," dims)
+    | [ k; _ ] when List.mem_assoc k shape -> err "dimension %s given twice" k
+    | [ k; v ] -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> Ok ((k, n) :: shape)
+      | _ -> err "dimension %s=%s is not a positive integer" k v)
+    | _ -> err "bad shape component %S (expected NAME=INT)" kv
+  in
+  Result.bind (List.fold_left add (Ok []) (String.split_on_char ',' s)) @@ fun shape ->
+  match List.find_opt (fun d -> not (List.mem_assoc d shape)) dims with
+  | Some d -> err "missing dimension %s" d
+  | None -> Ok (List.map (fun d -> (d, List.assoc d shape)) dims)
+
 let class_name = function
   | Matmul -> "MatMul"
   | Convolution -> "Convolution"

@@ -31,6 +31,12 @@ type t = {
 val dim : shape -> string -> int
 (** Raises [Not_found] with the dimension name for missing dims. *)
 
+val shape_of_string : t -> string -> (shape, string) result
+(** Parse a comma-separated [NAME=INT] list, such as ["m=16,n=16,k=8"],
+    into a shape in the operator's own dimension order. Every dimension of
+    the operator must appear exactly once with a positive value; anything
+    else is an [Error] with a one-line reason. *)
+
 val class_name : op_class -> string
 val outputs : t -> buffer_spec list
 val inputs : t -> buffer_spec list

@@ -39,33 +39,25 @@ let reference_outputs rng op shape =
    re-runs the same op/shape/seed for every candidate kernel — cache the
    serial reference run. Hits additionally require the *same* [Opdef.t]
    (physical identity): fuzzers build throwaway ops that could reuse a name. *)
-let ref_cache :
-    (string * (string * int) list * int, Opdef.t * (string * Interp.arg) list * (string * Tensor.t) list)
-    Hashtbl.t =
-  Hashtbl.create 64
+module Ref_cache = Xpiler_util.Cache.Make (struct
+  type t = Opdef.t * (string * int) list * int
 
-let ref_cache_mutex = Mutex.create ()
-let ref_cache_limit = 256
+  let equal (op, shape, seed) (op', shape', seed') = op == op' && shape = shape' && seed = seed'
+  let hash ((op : Opdef.t), shape, seed) = Hashtbl.hash (op.name, shape, seed)
+end)
+
+let ref_cache : ((string * Interp.arg) list * (string * Tensor.t) list) Ref_cache.t =
+  Ref_cache.create ~capacity:256 ()
+
 let clone_outs outs = List.map (fun (n, t) -> (n, Tensor.copy t)) outs
 
 let reference_outputs_seeded ~seed (op : Opdef.t) shape =
-  let key = (op.Opdef.name, shape, seed) in
-  let hit =
-    Mutex.protect ref_cache_mutex (fun () ->
-        match Hashtbl.find_opt ref_cache key with
-        | Some (op', args, outs) when op' == op -> Some (clone args, clone_outs outs)
-        | _ -> None)
+  let r =
+    Ref_cache.find_or_add ref_cache (op, shape, seed) (fun () ->
+        reference_outputs (Xpiler_util.Rng.create seed) op shape)
   in
-  match hit with
-  | Some r -> r
-  | None ->
-    let rng = Xpiler_util.Rng.create seed in
-    let args, outs = reference_outputs rng op shape in
-    (* the cache holds private clones; callers are free to clobber [args] *)
-    Mutex.protect ref_cache_mutex (fun () ->
-        if Hashtbl.length ref_cache >= ref_cache_limit then Hashtbl.reset ref_cache;
-        Hashtbl.replace ref_cache key (op, clone args, clone_outs outs));
-    (args, outs)
+  let args, outs = r.value in
+  (clone args, clone_outs outs)
 
 (* trial-0 verdict and repair mismatch score from one interpreter run: the
    checker's first trial and the repair hill-climb oracle draw on the same

@@ -154,17 +154,14 @@ module VKey = struct
   let hash a = Hashtbl.hash (a.trial, a.op.Opdef.name, a.shape, Kernel.hash a.kernel)
 end
 
-module VTbl = Hashtbl.Make (VKey)
+module VCache = Xpiler_util.Cache.Make (VKey)
 
-let vmemo_mutex = Mutex.create ()
-let vmemo_capacity = 8192
-let verdict_tbl : Unit_test.verdict VTbl.t = VTbl.create 256
-let score_tbl : int VTbl.t = VTbl.create 256
+let verdict_tbl : Unit_test.verdict VCache.t = VCache.create ~capacity:8192 ()
+let score_tbl : int VCache.t = VCache.create ~capacity:8192 ()
 
 let reset_verdict_memo () =
-  Mutex.protect vmemo_mutex (fun () ->
-      VTbl.reset verdict_tbl;
-      VTbl.reset score_tbl)
+  VCache.clear verdict_tbl;
+  VCache.clear score_tbl
 
 (* hit/miss order races between speculating domains -> unstable class *)
 let m_vmemo_hit =
@@ -175,18 +172,12 @@ let m_vmemo_miss =
   Metrics.counter ~stable:false ~labels:[ ("result", "miss") ]
     "xpiler_repair_verdict_memo_lookups_total"
 
+let count_lookup hit = Metrics.inc (if hit then m_vmemo_hit else m_vmemo_miss)
+
 let vmemo_cached tbl key compute =
-  match Mutex.protect vmemo_mutex (fun () -> VTbl.find_opt tbl key) with
-  | Some v ->
-    Metrics.inc m_vmemo_hit;
-    v
-  | None ->
-    Metrics.inc m_vmemo_miss;
-    let v = compute () in
-    Mutex.protect vmemo_mutex (fun () ->
-        if VTbl.length tbl >= vmemo_capacity then VTbl.reset tbl;
-        VTbl.replace tbl key v);
-    v
+  let r = VCache.find_or_add tbl key compute in
+  count_lookup r.hit;
+  r.value
 
 let vmemo_active () = Xpiler_smt.Memo.is_enabled () && not (Trace.enabled ())
 
@@ -238,24 +229,15 @@ let eval_scored_cached ~op ~shape kernel =
   else begin
     let vkey = { VKey.trial = 0; op; shape; kernel } in
     let skey = { VKey.trial = -1; op; shape; kernel } in
-    let hit =
-      Mutex.protect vmemo_mutex (fun () ->
-          match (VTbl.find_opt verdict_tbl vkey, VTbl.find_opt score_tbl skey) with
-          | Some v, Some s -> Some (v, s)
-          | _ -> None)
-    in
-    match hit with
-    | Some r ->
-      Metrics.inc m_vmemo_hit;
-      r
-    | None ->
-      Metrics.inc m_vmemo_miss;
+    match (VCache.find verdict_tbl vkey, VCache.find score_tbl skey) with
+    | Some v, Some s ->
+      count_lookup true;
+      (v, s)
+    | _ ->
+      count_lookup false;
       let v, s = Unit_test.check_scored op shape kernel in
-      Mutex.protect vmemo_mutex (fun () ->
-          if VTbl.length verdict_tbl >= vmemo_capacity then VTbl.reset verdict_tbl;
-          if VTbl.length score_tbl >= vmemo_capacity then VTbl.reset score_tbl;
-          VTbl.replace verdict_tbl vkey v;
-          VTbl.replace score_tbl skey s);
+      ignore (VCache.add verdict_tbl vkey v);
+      ignore (VCache.add score_tbl skey s);
       (v, s)
   end
 

@@ -48,7 +48,7 @@ module Key = struct
     comb (comb (Hashtbl.hash k.mode) k.max_steps) (Problem.hash k.problem)
 end
 
-module KTbl = Hashtbl.Make (Key)
+module KCache = Xpiler_util.Cache.Make (Key)
 
 type payload =
   | Outcome of Problem.outcome
@@ -58,75 +58,37 @@ type entry = { payload : payload; stats : Problem.stats  (** the receipt *) }
 
 (* a repair pass touches a few dozen distinct problems; whole bench sweeps a
    few thousand — same sizing logic as the transposition table *)
-let capacity = 65536
-let mutex = Mutex.create ()
-let table : entry KTbl.t = KTbl.create 256
-let enabled = ref true
-let hit_count = ref 0
-let miss_count = ref 0
-
-(* durable-store hook: called outside the mutex on every fresh [store];
-   [restore] bypasses it so log replay never echoes back to disk *)
-let observer : (Key.t -> entry -> unit) option ref = ref None
-let set_observer o = Mutex.protect mutex (fun () -> observer := o)
-
-let set_enabled b = Mutex.protect mutex (fun () -> enabled := b)
-let is_enabled () = Mutex.protect mutex (fun () -> !enabled)
-
-let find_locked key =
-  match KTbl.find_opt table key with
-  | Some e ->
-    incr hit_count;
-    Metrics.inc m_hits;
-    Some e
-  | None ->
-    incr miss_count;
-    Metrics.inc m_misses;
-    None
+let table : entry KCache.t = KCache.create ~capacity:65536 ()
+let enabled = Atomic.make true
+let set_observer o = KCache.set_observer table o
+let set_enabled b = Atomic.set enabled b
+let is_enabled () = Atomic.get enabled
 
 let find ~mode ~max_steps problem =
-  Mutex.protect mutex (fun () ->
-      if not !enabled then None else find_locked { Key.mode; max_steps; problem })
+  if not (Atomic.get enabled) then None
+  else
+    let r = KCache.find table { Key.mode; max_steps; problem } in
+    Metrics.inc (match r with Some _ -> m_hits | None -> m_misses);
+    r
 
-(* evict arbitrary half rather than resetting (no recency recorded); a reset
-   would turn every in-flight repair's next lookups into recomputes at once *)
-let evict_half_locked () =
-  let keys = KTbl.fold (fun k _ acc -> k :: acc) table [] in
-  List.iteri (fun i k -> if i land 1 = 0 then KTbl.remove table k) keys
+let set_entries () = Metrics.set m_entries (float_of_int (KCache.length table))
 
 let store ~mode ~max_steps problem entry =
-  let key = { Key.mode; max_steps; problem } in
-  let obs =
-    Mutex.protect mutex (fun () ->
-        if !enabled then begin
-          if KTbl.length table >= capacity then evict_half_locked ();
-          KTbl.replace table key entry;
-          Metrics.set m_entries (float_of_int (KTbl.length table));
-          !observer
-        end
-        else None)
-  in
-  match obs with Some f -> f key entry | None -> ()
+  if Atomic.get enabled then begin
+    ignore (KCache.add table { Key.mode; max_steps; problem } entry);
+    set_entries ()
+  end
 
 let restore key entry =
-  Mutex.protect mutex (fun () ->
-      (* capacity still applies, but silently (no eviction effects) *)
-      if KTbl.length table >= capacity then evict_half_locked ();
-      KTbl.replace table key entry;
-      Metrics.set m_entries (float_of_int (KTbl.length table)))
+  KCache.restore table key entry;
+  set_entries ()
 
-let fold f acc = Mutex.protect mutex (fun () -> KTbl.fold f table acc)
-
-let hits () = Mutex.protect mutex (fun () -> !hit_count)
-let misses () = Mutex.protect mutex (fun () -> !miss_count)
-let size () = Mutex.protect mutex (fun () -> KTbl.length table)
-
-let reset_stats () =
-  Mutex.protect mutex (fun () ->
-      hit_count := 0;
-      miss_count := 0)
+let fold f acc = KCache.fold f table acc
+let hits () = (KCache.stats table).hits
+let misses () = (KCache.stats table).misses
+let size () = KCache.length table
+let reset_stats () = KCache.reset_stats table
 
 let clear () =
-  Mutex.protect mutex (fun () ->
-      KTbl.reset table;
-      Metrics.set m_entries 0.0)
+  KCache.clear table;
+  Metrics.set m_entries 0.0

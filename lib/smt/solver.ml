@@ -114,29 +114,13 @@ let search_naive ?(max_steps = default_max_steps) problem ~on_model =
    subtree and rejected every leaf below it. The model set is the same;
    steps under such constraints differ. *)
 
-module ETbl = Hashtbl.Make (struct
-  type t = Expr.t
-
-  let equal = Expr.equal
-  let hash = Expr.hash
-end)
+module ECache = Xpiler_util.Cache.Make (Expr)
 
 (* once-per-pass simplification shared across candidate holes: the repairer
    poses the same alignment/positivity constraints for every candidate site
    of a kernel, so this cache turns N simplify passes into 1 *)
-let simp_capacity = 8192
-let simp_mutex = Mutex.create ()
-let simp_cache : Expr.t ETbl.t = ETbl.create 256
-
-let simplify_shared e =
-  Mutex.protect simp_mutex (fun () ->
-      match ETbl.find_opt simp_cache e with
-      | Some s -> s
-      | None ->
-        let s = Expr.simplify e in
-        if ETbl.length simp_cache >= simp_capacity then ETbl.reset simp_cache;
-        ETbl.add simp_cache e s;
-        s)
+let simp_cache : Expr.t ECache.t = ECache.create ~capacity:8192 ()
+let simplify_shared e = (ECache.find_or_add simp_cache e (fun () -> Expr.simplify e)).value
 
 type prepared = {
   p_names : string array;

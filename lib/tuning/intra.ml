@@ -73,54 +73,29 @@ module PK = struct
   let hash (id, k) = Xpiler_ir.Expr.hash_comb (Hashtbl.hash id) (Xpiler_ir.Kernel.hash k)
 end
 
-module PTbl = Hashtbl.Make (PK)
+module PCache = Xpiler_util.Cache.Make (PK)
 
 (* generous: a full MCTS search touches a few thousand states, and losing
-   entries mid-search turns subsequent lookups into recomputes. Mutable so
-   tests can force the eviction path. *)
-let memo_limit = ref 65536
-let set_memo_limit n = if n > 0 then memo_limit := n
-let memo_mutex = Mutex.create ()
-let compile_memo : bool PTbl.t = PTbl.create 256
-let throughput_memo : float PTbl.t = PTbl.create 256
+   entries mid-search turns subsequent lookups into recomputes. Replaceable
+   so tests can force the eviction path. *)
+let compile_memo : bool PCache.t ref = ref (PCache.create ~capacity:65536 ())
+let throughput_memo : float PCache.t ref = ref (PCache.create ~capacity:65536 ())
 
-(* At capacity, evict half (arbitrary members — the memo records no
-   recency) instead of resetting: a reset silently dropped the whole table
-   mid-search, turning every later lookup into a recompute. Evictions are
-   traced so capacity pressure is visible in journals. *)
-let evict_half_locked tbl =
-  let keys = PTbl.fold (fun key _ acc -> key :: acc) tbl [] in
-  let dropped = ref 0 in
-  List.iteri
-    (fun i key ->
-      if i land 1 = 0 then begin
-        PTbl.remove tbl key;
-        incr dropped
-      end)
-    keys;
-  !dropped
+let set_memo_limit n =
+  if n > 0 then begin
+    compile_memo := PCache.create ~capacity:n ();
+    throughput_memo := PCache.create ~capacity:n ()
+  end
 
-(* compute runs outside the lock: a concurrent duplicate costs time, never
-   correctness *)
+(* evictions are traced so capacity pressure is visible in journals *)
 let memoized tbl (m_hit, m_miss, m_evict) compute key =
-  match Mutex.protect memo_mutex (fun () -> PTbl.find_opt tbl key) with
-  | Some v ->
-    Metrics.inc m_hit;
-    v
-  | None ->
-    Metrics.inc m_miss;
-    let v = compute () in
-    let dropped =
-      Mutex.protect memo_mutex (fun () ->
-          let dropped = if PTbl.length tbl >= !memo_limit then evict_half_locked tbl else 0 in
-          PTbl.replace tbl key v;
-          dropped)
-    in
-    if dropped > 0 then begin
-      Metrics.inc ~n:dropped m_evict;
-      Trace.count ~n:dropped "intra.memo_evictions"
-    end;
-    v
+  let r = PCache.find_or_add !tbl key compute in
+  Metrics.inc (if r.hit then m_hit else m_miss);
+  if r.evicted > 0 then begin
+    Metrics.inc ~n:r.evicted m_evict;
+    Trace.count ~n:r.evicted "intra.memo_evictions"
+  end;
+  r.value
 
 let compiles platform k =
   memoized compile_memo compile_metrics

@@ -45,10 +45,10 @@ val modelled_throughput : Platform.t -> Kernel.t -> float
     reward), same keying and sharing discipline as {!compiles}. *)
 
 val set_memo_limit : int -> unit
-(** Override the shared memo capacity (default 65536). At capacity, half
-    the table is evicted — never a full reset, which would turn every
-    subsequent lookup mid-search into a recompute — and the eviction is
-    traced as [intra.memo_evictions]. Exposed for tests. *)
+(** Replace both shared memos with empty ones of capacity [n] (default
+    65536). At capacity, half a memo is evicted (see
+    {!Xpiler_util.Cache}) and the eviction is traced as
+    [intra.memo_evictions]. Exposed for tests. *)
 
 val tune_with_stats :
   ?clock:Xpiler_util.Vclock.t ->

@@ -28,19 +28,15 @@ let m_records = Metrics.counter ~help:"schedule DB entries recorded" "xpiler_sch
 
 type entry = { specs : Pass.spec list; reward : float }
 
-type t = {
-  mutex : Mutex.t;
-  tbl : (int, entry) Hashtbl.t;
-  (* durable-store hook: called (outside the mutex) with the signature of
-     every entry a search actually records, so the store can append it to
-     its write-ahead log; [restore] bypasses it to avoid echoing replayed
-     records back to disk *)
-  mutable observer : (int -> entry -> unit) option;
-}
+module ICache = Xpiler_util.Cache.Make (Int)
 
-let create () = { mutex = Mutex.create (); tbl = Hashtbl.create 64; observer = None }
+(* shapes share an entry, so a few hundred cover every registered op; the
+   bound only caps a stream of distinct repaired structures *)
+type t = entry ICache.t
+
+let create () = ICache.create ~capacity:4096 ()
 let default = create ()
-let set_observer t o = Mutex.protect t.mutex (fun () -> t.observer <- o)
+let set_observer = ICache.set_observer
 
 (* structural hash with integer literals wildcarded; mirrors Kernel.hash
    but folds every [Int _] (loop extents, indices, alloc sizes, launch
@@ -95,31 +91,15 @@ let signature (platform : Platform.id) (k : Kernel.t) =
   sig_block h k.Kernel.body
 
 let lookup t platform k =
-  let r =
-    Mutex.protect t.mutex (fun () ->
-        Option.map (fun e -> e.specs) (Hashtbl.find_opt t.tbl (signature platform k)))
-  in
+  let r = ICache.find t (signature platform k) in
   Metrics.inc (match r with Some _ -> m_hits | None -> m_misses);
-  r
+  Option.map (fun e -> e.specs) r
 
 let record t platform k ~specs ~reward =
   if specs <> [] && reward > 0.0 then begin
     Metrics.inc m_records;
-    let s = signature platform k in
-    let e = { specs; reward } in
-    let observer =
-      Mutex.protect t.mutex (fun () ->
-          Hashtbl.replace t.tbl s e;
-          t.observer)
-    in
-    match observer with Some f -> f s e | None -> ()
+    ignore (ICache.add t (signature platform k) { specs; reward })
   end
 
-let restore t ~signature entry =
-  Mutex.protect t.mutex (fun () -> Hashtbl.replace t.tbl signature entry)
-
-let fold t f acc =
-  Mutex.protect t.mutex (fun () -> Hashtbl.fold f t.tbl acc)
-
-let size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.tbl)
-let clear t = Mutex.protect t.mutex (fun () -> Hashtbl.reset t.tbl)
+let restore t ~signature entry = ICache.restore t signature entry
+let fold t f acc = ICache.fold f t acc

@@ -13,9 +13,9 @@ module Pass = Xpiler_passes.Pass
     translations of similar kernels converge in far fewer simulations.
 
     Conflicts resolve most-recent-wins: rewards are not comparable across
-    shapes, so the last completed search owns the entry. All operations are
-    mutex-protected; lookups happen once per search on the master domain, so
-    the database never perturbs the deterministic [--jobs] replay. *)
+    shapes, so the last completed search owns the entry. Bounded at 4096
+    signatures; lookups happen once per search on the master domain, so the
+    database never perturbs the deterministic [--jobs] replay. *)
 
 type entry = { specs : Pass.spec list; reward : float }
 type t
@@ -25,7 +25,7 @@ val create : unit -> t
 val default : t
 (** The process-global database used by [Core.Xpiler] when
     [Config.tuning_warm_start] is on. Tests and benches should {!create}
-    private instances (or {!clear} this one) for isolation. *)
+    private instances for isolation. *)
 
 val signature : Platform.id -> Kernel.t -> int
 (** Structural hash invariant under integer-literal changes: the same
@@ -38,9 +38,6 @@ val lookup : t -> Platform.id -> Kernel.t -> Pass.spec list option
 val record : t -> Platform.id -> Kernel.t -> specs:Pass.spec list -> reward:float -> unit
 (** Save a search result. Empty spec lists and zero rewards are not
     recorded (nothing to replay). *)
-
-val size : t -> int
-val clear : t -> unit
 
 (** {2 Durable-store integration} (see [Xpiler_store.Store]) *)
 

@@ -70,102 +70,54 @@ module Key = struct
       (Xpiler_ir.Kernel.hash k.kernel)
 end
 
-module KTbl = Hashtbl.Make (Key)
+module KCache = Xpiler_util.Cache.Make (Key)
 
 (* sized like the intra memos: a full search touches a few thousand states *)
-let capacity = 65536
-let mutex = Mutex.create ()
-let table : entry KTbl.t = KTbl.create 1024
+let table : entry KCache.t = KCache.create ~capacity:65536 ()
+let set_observer o = KCache.set_observer table o
 
-(* durable-store hook: called outside the mutex on every fresh [store]
-   (worker domains included — the observer must synchronize internally);
-   [restore] bypasses it so log replay never echoes back to disk *)
-let observer : (Key.t -> entry -> unit) option ref = ref None
-let set_observer o = Mutex.protect mutex (fun () -> observer := o)
-
-(* stats are plain counters under the same mutex; [evals] additionally
-   counts fresh reward evaluations (including ones made with sharing off, so
-   benches can compare baseline and shared searches with one meter) *)
-let hit_count = ref 0
-let miss_count = ref 0
-let eval_count = ref 0
+(* fresh reward evaluations, including ones made with sharing off, so
+   benches can compare baseline and shared searches with one meter *)
+let eval_count = Atomic.make 0
 
 let key ~platform ~budget ~prune ~compose kernel =
   { Key.platform; budget; prune; compose; kernel }
 
 let find ~platform ~budget ~prune ~compose kernel =
-  Mutex.protect mutex (fun () ->
-      match KTbl.find_opt table (key ~platform ~budget ~prune ~compose kernel) with
-      | Some e ->
-        incr hit_count;
-        Metrics.inc m_hits;
-        Some e
-      | None ->
-        incr miss_count;
-        Metrics.inc m_misses;
-        None)
-
-(* evict half (arbitrary members; the table records no recency) rather than
-   resetting: a reset would turn every live searcher's next lookups into
-   recomputes at once *)
-let evict_half_locked () =
-  let keys = KTbl.fold (fun k _ acc -> k :: acc) table [] in
-  let dropped = ref 0 in
-  List.iteri
-    (fun i k ->
-      if i land 1 = 0 then begin
-        KTbl.remove table k;
-        incr dropped
-      end)
-    keys;
-  !dropped
+  let r = KCache.find table (key ~platform ~budget ~prune ~compose kernel) in
+  Metrics.inc (match r with Some _ -> m_hits | None -> m_misses);
+  r
 
 let store ~platform ~budget ~prune ~compose kernel entry =
-  let k = key ~platform ~budget ~prune ~compose kernel in
-  let dropped, entries, obs =
-    Mutex.protect mutex (fun () ->
-        let dropped = if KTbl.length table >= capacity then evict_half_locked () else 0 in
-        KTbl.replace table k entry;
-        (dropped, KTbl.length table, !observer))
-  in
-  Metrics.set m_entries (float_of_int entries);
+  let dropped = KCache.add table (key ~platform ~budget ~prune ~compose kernel) entry in
+  Metrics.set m_entries (float_of_int (KCache.length table));
   if dropped > 0 then begin
     Metrics.inc ~n:dropped m_evictions;
     Trace.count ~n:dropped "mcts.tt_evictions"
-  end;
-  match obs with Some f -> f k entry | None -> ()
+  end
 
+(* silent: a replay must not emit the eviction trace counts the original
+   run never produced *)
 let restore k entry =
-  let entries =
-    Mutex.protect mutex (fun () ->
-        (* capacity still applies, but silently: a replay must not emit the
-           eviction trace counts the original run never produced *)
-        if KTbl.length table >= capacity then ignore (evict_half_locked ());
-        KTbl.replace table k entry;
-        KTbl.length table)
-  in
-  Metrics.set m_entries (float_of_int entries)
+  KCache.restore table k entry;
+  Metrics.set m_entries (float_of_int (KCache.length table))
 
-let fold f acc = Mutex.protect mutex (fun () -> KTbl.fold f table acc)
+let fold f acc = KCache.fold f table acc
 
 let count_eval () =
   Metrics.inc m_evals;
-  Mutex.protect mutex (fun () -> incr eval_count)
-let size () = Mutex.protect mutex (fun () -> KTbl.length table)
-let hits () = Mutex.protect mutex (fun () -> !hit_count)
-let misses () = Mutex.protect mutex (fun () -> !miss_count)
-let evals () = Mutex.protect mutex (fun () -> !eval_count)
+  Atomic.incr eval_count
+
+let size () = KCache.length table
+let hits () = (KCache.stats table).hits
+let misses () = (KCache.stats table).misses
+let evals () = Atomic.get eval_count
 
 let reset_stats () =
-  Mutex.protect mutex (fun () ->
-      hit_count := 0;
-      miss_count := 0;
-      eval_count := 0)
+  KCache.reset_stats table;
+  Atomic.set eval_count 0
 
 let clear () =
   Metrics.set m_entries 0.0;
-  Mutex.protect mutex (fun () ->
-      KTbl.reset table;
-      hit_count := 0;
-      miss_count := 0;
-      eval_count := 0)
+  KCache.clear table;
+  reset_stats ()

@@ -177,13 +177,50 @@ let prop_random_case_idioms =
           Unit_test.check ~trials:1 c.op c.shape k = Unit_test.Pass)
         platforms)
 
+let test_shape_of_string () =
+  let gemm = Option.get (Registry.find "gemm") in
+  let ok = Alcotest.(result (list (pair string int)) string) in
+  List.iter
+    (fun (input, expect) ->
+      match (Opdef.shape_of_string gemm input, expect) with
+      | Ok shape, Ok want -> Alcotest.check ok input (Ok want) (Ok shape)
+      | Error _, Error () -> ()
+      | got, _ ->
+        Alcotest.failf "%S: unexpected %s" input
+          (match got with Ok _ -> "acceptance" | Error m -> "rejection: " ^ m))
+    [ ("m=16,n=8,k=4", Ok [ ("m", 16); ("n", 8); ("k", 4) ]);
+      (* canonical dimension order, surrounding blanks ignored *)
+      (" k=4, n = 8,m=16", Ok [ ("m", 16); ("n", 8); ("k", 4) ]);
+      ("m=abc,n=4,k=4", Error ());
+      ("m=16", Error ());
+      ("m=-4,n=4,k=4", Error ());
+      ("m=0,n=4,k=4", Error ());
+      ("m=1,m=2,n=1,k=1", Error ());
+      ("q=1,m=1,n=1,k=1", Error ());
+      ("m=1,,n=1,k=1", Error ());
+      ("m=1=2,n=1,k=1", Error ());
+      ("", Error ())
+    ];
+  (* every registered shape round-trips through its text form *)
+  List.iter
+    (fun (op : Opdef.t) ->
+      List.iter
+        (fun shape ->
+          let text =
+            String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) shape)
+          in
+          Alcotest.check ok (op.name ^ " " ^ text) (Ok shape) (Opdef.shape_of_string op text))
+        op.shapes)
+    Registry.all
+
 let () =
   Alcotest.run "ops"
     [ ( "registry",
         [ Alcotest.test_case "inventory" `Quick test_registry;
           Alcotest.test_case "serial kernels well-formed" `Quick test_serial_wellformed;
           Alcotest.test_case "serial passes unit test" `Quick test_serial_passes_own_unit_test;
-          Alcotest.test_case "corrupted kernel fails" `Quick test_corrupted_kernel_fails
+          Alcotest.test_case "corrupted kernel fails" `Quick test_corrupted_kernel_fails;
+          Alcotest.test_case "shape parsing" `Quick test_shape_of_string
         ] );
       ( "idioms",
         [ Alcotest.test_case "all ops, first shape, 4 platforms" `Slow test_idioms_first_shape;

@@ -1,6 +1,8 @@
 module Rng = Xpiler_util.Rng
 module Vclock = Xpiler_util.Vclock
 module Pool = Xpiler_util.Pool
+module Cache = Xpiler_util.Cache
+module IC = Cache.Make (Int)
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -253,6 +255,98 @@ let test_listx_top_k () =
     [ (1, "a"); (1, "b") ]
     (Listx.top_k ~k:2 ~score:(fun (s, _) -> float_of_int s) [ (1, "a"); (0, "z"); (1, "b") ])
 
+(* ---- bounded cache -------------------------------------------------------- *)
+
+let cache_stats =
+  let pp fmt (s : Cache.stats) =
+    Format.fprintf fmt "{hits=%d; misses=%d; evictions=%d}" s.hits s.misses s.evictions
+  in
+  Alcotest.testable pp ( = )
+
+let test_cache_capacity () =
+  let c = IC.create ~capacity:8 () in
+  for k = 1 to 100 do
+    ignore (IC.add c k k);
+    ignore (IC.find_or_add c (-k) (fun () -> k));
+    if IC.length c > 8 then Alcotest.failf "size %d exceeds capacity 8" (IC.length c)
+  done;
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Cache.create: capacity must be positive") (fun () ->
+      ignore (IC.create ~capacity:0 ()))
+
+let test_cache_evict_half () =
+  let c = IC.create ~capacity:8 () in
+  for k = 1 to 8 do
+    Alcotest.(check int) "no eviction below capacity" 0 (IC.add c k k)
+  done;
+  Alcotest.(check int) "replacing a live key evicts nothing" 0 (IC.add c 1 10);
+  Alcotest.(check int) "a new key evicts half" 4 (IC.add c 9 9);
+  Alcotest.(check int) "half kept plus the new key" 5 (IC.length c);
+  Alcotest.(check (option int)) "new key stored" (Some 9) (IC.find c 9);
+  let r = IC.find_or_add c 10 (fun () -> 10) in
+  Alcotest.(check (pair bool int)) "find_or_add below capacity" (false, 0) (r.hit, r.evicted);
+  Alcotest.(check int) "evictions counted" 4 (IC.stats c).evictions
+
+let test_cache_observer () =
+  let c = IC.create ~capacity:4 () in
+  let seen = ref [] in
+  IC.set_observer c (Some (fun k v -> seen := (k, v) :: !seen));
+  ignore (IC.add c 1 10);
+  IC.restore c 2 20;
+  ignore (IC.find_or_add c 3 (fun () -> 30));
+  ignore (IC.find_or_add c 3 (fun () -> Alcotest.fail "hit must not recompute"));
+  Alcotest.(check (list (pair int int))) "add and fresh find_or_add only"
+    [ (3, 30); (1, 10) ] !seen;
+  IC.set_observer c None;
+  ignore (IC.add c 4 40);
+  Alcotest.(check int) "detached" 2 (List.length !seen)
+
+let test_cache_restore_silent () =
+  let c = IC.create ~capacity:4 () in
+  for k = 1 to 10 do
+    IC.restore c k k
+  done;
+  Alcotest.(check bool) "capacity applies" true (IC.length c <= 4);
+  Alcotest.(check cache_stats) "nothing counted" { Cache.hits = 0; misses = 0; evictions = 0 }
+    (IC.stats c)
+
+let test_cache_clear () =
+  let c = IC.create ~capacity:4 () in
+  ignore (IC.add c 1 1);
+  ignore (IC.find c 1);
+  IC.clear c;
+  Alcotest.(check int) "empty" 0 (IC.length c);
+  Alcotest.(check (option int)) "gone" None (IC.find c 1);
+  Alcotest.(check cache_stats) "counts kept" { Cache.hits = 1; misses = 1; evictions = 0 }
+    (IC.stats c);
+  IC.reset_stats c;
+  Alcotest.(check cache_stats) "reset" { Cache.hits = 0; misses = 0; evictions = 0 } (IC.stats c)
+
+let test_cache_concurrent_find_or_add () =
+  forcing_domains @@ fun () ->
+  (* 200 lookups over 13 distinct keys, each repeated in runs of 8 that
+     neighbouring workers pull together; the compute spins so that racing
+     duplicates really overlap *)
+  let keys = List.init 200 (fun i -> i / 8 mod 13) in
+  let compute k () =
+    for _ = 1 to 20_000 do
+      Domain.cpu_relax ()
+    done;
+    k * k
+  in
+  let run jobs =
+    let c = IC.create ~capacity:64 () in
+    let values = Pool.map ~jobs (fun _ k -> (IC.find_or_add c k (compute k)).value) keys in
+    (values, IC.stats c, IC.length c)
+  in
+  let serial_values, serial_stats, serial_len = run 1 in
+  Alcotest.(check cache_stats) "serial counts" { Cache.hits = 187; misses = 13; evictions = 0 }
+    serial_stats;
+  let values, stats, len = run 4 in
+  Alcotest.(check (list int)) "same values" serial_values values;
+  Alcotest.(check cache_stats) "same counts" serial_stats stats;
+  Alcotest.(check int) "same size" serial_len len
+
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -280,6 +374,14 @@ let () =
           Alcotest.test_case "first error by index" `Quick test_pool_first_error_by_index;
           Alcotest.test_case "nested maps inline" `Quick test_pool_nested_inline;
           Alcotest.test_case "domain clamp" `Quick test_pool_jobs_clamp
+        ] );
+      ( "cache",
+        [ Alcotest.test_case "size never exceeds capacity" `Quick test_cache_capacity;
+          Alcotest.test_case "eviction drops half" `Quick test_cache_evict_half;
+          Alcotest.test_case "observer on add, not restore" `Quick test_cache_observer;
+          Alcotest.test_case "restore counts nothing" `Quick test_cache_restore_silent;
+          Alcotest.test_case "clear empties" `Quick test_cache_clear;
+          Alcotest.test_case "concurrent find_or_add" `Quick test_cache_concurrent_find_or_add
         ] );
       ( "listx",
         [ Alcotest.test_case "take" `Quick test_listx_take;
