@@ -70,7 +70,7 @@ let run_arm ~engine ~memo config_of op_name src dst scale =
   Memo.reset_stats ();
   Memo.set_enabled memo;
   Solver.reset_work_totals ();
-  Repairer.reset_verdict_memo ();
+  Unit_test.reset_memo ();
   Repairer.reset_wall_totals ();
   Repairer.reset_speculation_totals ();
   let t0 = now () in

@@ -103,14 +103,17 @@ let render_metrics samples = String.concat "\n" (List.map Report.render (metrics
 
 (* ---- profiler reports ---------------------------------------------------- *)
 
+(* a modelled second costs microseconds of wall time, so the exchange rate
+   is shown in those units ([Report.Ratio] would print 0.00x on every row) *)
+let wall_per_virtual wall virt = Report.Num (if virt > 0.0 then wall *. 1e6 /. virt else 0.0)
+
 let prof_tables (r : Prof.report) =
   let stage_rows =
     List.map
       (fun (s : Prof.stage_row) ->
-        let ratio = if s.Prof.virtual_s > 0.0 then s.Prof.wall_s /. s.Prof.virtual_s else 0.0 in
         ( s.Prof.stage,
           [ Report.Count s.Prof.charges; Report.Num s.Prof.virtual_s; Report.Num s.Prof.wall_s;
-            Report.Ratio ratio ] ))
+            wall_per_virtual s.Prof.wall_s s.Prof.virtual_s ] ))
       r.Prof.stage_rows
   in
   let stage_rows =
@@ -121,8 +124,7 @@ let prof_tables (r : Prof.report) =
       let tc = List.fold_left (fun a (s : Prof.stage_row) -> a + s.Prof.charges) 0 r.Prof.stage_rows in
       stage_rows
       @ [ ( "total",
-            [ Report.Count tc; Report.Num tv; Report.Num tw;
-              Report.Ratio (if tv > 0.0 then tw /. tv else 0.0) ] ) ]
+            [ Report.Count tc; Report.Num tv; Report.Num tw; wall_per_virtual tw tv ] ) ]
     end
   in
   let span_rows =
@@ -135,7 +137,7 @@ let prof_tables (r : Prof.report) =
   in
   List.filter_map
     (fun (title, cols, rows) -> if rows = [] then None else Some (Report.make ~title ~cols rows))
-    [ ("Wall vs virtual time per stage", [ "charges"; "virtual s"; "wall s"; "wall/virtual" ], stage_rows);
+    [ ("Wall vs virtual time per stage", [ "charges"; "virtual s"; "wall s"; "wall us/virtual s" ], stage_rows);
       ("Profiled spans (wall clock)", [ "count"; "wall s"; "alloc Mw"; "majors" ], span_rows) ]
 
 let render_prof r = String.concat "\n" (List.map Report.render (prof_tables r))

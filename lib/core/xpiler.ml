@@ -265,7 +265,7 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
   let compile_ok k = Checker.compile target k = Ok () in
   let unit_ok k =
     Vclock.charge clock Vclock.Unit_test 45.0;
-    Unit_test.check ~trials:config.Config.unit_test_trials op shape k = Unit_test.Pass
+    Unit_test.verdict ~trials:config.Config.unit_test_trials op shape k = Unit_test.Pass
   in
   (* per-pass validation: a static pre-validation pass first (a diagnosed
      program never reaches the interpreter, and its findings seed the
@@ -478,7 +478,7 @@ let transcompile ?(config = Config.default) ~src ~dst ~op ~shape () =
           | _ -> "unknown")
       else if not (unit_ok k) then
         Computation_error
-          (match Unit_test.check ~trials:1 op shape k with
+          (match Unit_test.verdict ~trials:1 op shape k with
           | Unit_test.Fail m -> m
           | Unit_test.Pass -> "flaky")
       else if st.skipped_rev <> [] then Degraded

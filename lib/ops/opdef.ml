@@ -25,6 +25,10 @@ let dim sh name =
   | Some v -> v
   | None -> raise (Not_found)
 
+(* 2^26 elements (512 MiB of float arrays) across an op's buffers; the unit
+   test holds several copies of each, so a larger shape runs out of memory *)
+let max_elements = 1 lsl 26
+
 let shape_of_string t s =
   let dims = List.map fst (List.hd t.shapes) in
   let err fmt = Printf.ksprintf Result.error fmt in
@@ -43,7 +47,16 @@ let shape_of_string t s =
   Result.bind (List.fold_left add (Ok []) (String.split_on_char ',' s)) @@ fun shape ->
   match List.find_opt (fun d -> not (List.mem_assoc d shape)) dims with
   | Some d -> err "missing dimension %s" d
-  | None -> Ok (List.map (fun d -> (d, List.assoc d shape)) dims)
+  | None ->
+    let shape = List.map (fun d -> (d, List.assoc d shape)) dims in
+    (* buffer sizes are products of dimensions: checking the product of all
+       of them first keeps the size arithmetic below from overflowing *)
+    let dims_product = List.fold_left (fun acc (_, n) -> acc *. float_of_int n) 1.0 shape in
+    if
+      dims_product > 0x1p52
+      || List.fold_left (fun acc b -> acc + b.size shape) 0 t.buffers > max_elements
+    then err "shape needs more than %d tensor elements" max_elements
+    else Ok shape
 
 let class_name = function
   | Matmul -> "MatMul"

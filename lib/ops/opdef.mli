@@ -34,8 +34,12 @@ val dim : shape -> string -> int
 val shape_of_string : t -> string -> (shape, string) result
 (** Parse a comma-separated [NAME=INT] list, such as ["m=16,n=16,k=8"],
     into a shape in the operator's own dimension order. Every dimension of
-    the operator must appear exactly once with a positive value; anything
-    else is an [Error] with a one-line reason. *)
+    the operator must appear exactly once with a positive value, and the
+    operator's buffers together may hold at most {!max_elements} elements;
+    anything else is an [Error] with a one-line reason. *)
+
+val max_elements : int
+(** [2^26]: the element budget {!shape_of_string} enforces. *)
 
 val class_name : op_class -> string
 val outputs : t -> buffer_spec list

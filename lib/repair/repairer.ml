@@ -129,118 +129,6 @@ let apply_candidate (k : Kernel.t) (site : Localize.site) value =
 
 let charge clock stage s = match clock with Some c -> Vclock.charge c stage s | None -> ()
 
-(* ---- candidate verdict memo ------------------------------------------------
-
-   Repair rounds, ladder retries and repeated bench seeds regenerate the
-   same candidate kernels, and both oracles below are pure functions of
-   (op, shape, kernel): the per-trial unit-test verdict and the mismatch
-   score. Cache them process-globally, keyed by structural kernel identity
-   (with physical op identity, like [Unit_test.reference_outputs_seeded],
-   so regenerated fuzz ops that reuse a name cannot collide).
-
-   Gated by the same switch as the solver memo ([Memo.set_enabled]) so the
-   bench's baseline arm really is the pre-overhaul stack — and bypassed
-   while tracing: a fresh run emits interp.* trace counts that a memo hit
-   could not replay, and cold-vs-warm journal byte-identity outranks
-   speed. Speculative task bodies run under [Trace.without], so candidate
-   testing over the pool always qualifies. *)
-
-module VKey = struct
-  type t = { trial : int; op : Opdef.t; shape : Opdef.shape; kernel : Kernel.t }
-
-  let equal a b =
-    a.trial = b.trial && a.op == b.op && a.shape = b.shape && Kernel.equal a.kernel b.kernel
-
-  let hash a = Hashtbl.hash (a.trial, a.op.Opdef.name, a.shape, Kernel.hash a.kernel)
-end
-
-module VCache = Xpiler_util.Cache.Make (VKey)
-
-let verdict_tbl : Unit_test.verdict VCache.t = VCache.create ~capacity:8192 ()
-let score_tbl : int VCache.t = VCache.create ~capacity:8192 ()
-
-let reset_verdict_memo () =
-  VCache.clear verdict_tbl;
-  VCache.clear score_tbl
-
-(* hit/miss order races between speculating domains -> unstable class *)
-let m_vmemo_hit =
-  Metrics.counter ~stable:false ~help:"repair verdict-memo lookups by result"
-    ~labels:[ ("result", "hit") ] "xpiler_repair_verdict_memo_lookups_total"
-
-let m_vmemo_miss =
-  Metrics.counter ~stable:false ~labels:[ ("result", "miss") ]
-    "xpiler_repair_verdict_memo_lookups_total"
-
-let count_lookup hit = Metrics.inc (if hit then m_vmemo_hit else m_vmemo_miss)
-
-let vmemo_cached tbl key compute =
-  let r = VCache.find_or_add tbl key compute in
-  count_lookup r.hit;
-  r.value
-
-let vmemo_active () = Xpiler_smt.Memo.is_enabled () && not (Trace.enabled ())
-
-(* equivalent to [Unit_test.check ~trials] — trial [i] draws from seed
-   [20250706 + i*7919] and checking stops at the first failing trial —
-   but with each trial memoized separately, so a [~trials:2] confirmation
-   reuses the winning candidate's [~trials:1] verdict as its first trial *)
-let check_cached ~trials op shape kernel =
-  if not (vmemo_active ()) then Unit_test.check ~trials op shape kernel
-  else begin
-    let rec go i =
-      if i >= trials then Unit_test.Pass
-      else
-        let v =
-          vmemo_cached verdict_tbl { VKey.trial = i; op; shape; kernel } (fun () ->
-              Unit_test.check ~trials:1 ~seed:(20250706 + (i * 7919)) op shape kernel)
-        in
-        match v with Unit_test.Pass -> go (i + 1) | fail -> fail
-    in
-    go 0
-  end
-
-(* how wrong is a kernel? used to hill-climb when several faults coexist.
-   The oracle is the cached seeded reference ([Rng.create 20250706] either
-   way), so scoring N candidates costs one serial reference run, not N *)
-let mismatch_score_fresh ~op ~shape kernel =
-  let args, expected = Unit_test.reference_outputs_seeded ~seed:20250706 op shape in
-  match Interp.run kernel args with
-  | exception Interp.Runtime_error _ -> max_int
-  | _ ->
-    List.fold_left
-      (fun acc (name, e) ->
-        match List.assoc_opt name args with
-        | Some (Interp.Buf t) -> acc + List.length (Tensor.mismatched_indices t e)
-        | _ -> acc + Tensor.length e)
-      0 expected
-
-let mismatch_score ~op ~shape kernel =
-  if not (vmemo_active ()) then mismatch_score_fresh ~op ~shape kernel
-  else
-    vmemo_cached score_tbl { VKey.trial = -1; op; shape; kernel } (fun () ->
-        mismatch_score_fresh ~op ~shape kernel)
-
-(* fused trial-0 verdict + mismatch score in one interpreter run (both draw
-   on the seed-20250706 reference), populating both memo tables so a later
-   [~trials:2] confirmation or hill-climb score re-read hits *)
-let eval_scored_cached ~op ~shape kernel =
-  if not (vmemo_active ()) then Unit_test.check_scored op shape kernel
-  else begin
-    let vkey = { VKey.trial = 0; op; shape; kernel } in
-    let skey = { VKey.trial = -1; op; shape; kernel } in
-    match (VCache.find verdict_tbl vkey, VCache.find score_tbl skey) with
-    | Some v, Some s ->
-      count_lookup true;
-      (v, s)
-    | _ ->
-      count_lookup false;
-      let v, s = Unit_test.check_scored op shape kernel in
-      ignore (VCache.add verdict_tbl vkey v);
-      ignore (VCache.add score_tbl skey s);
-      (v, s)
-  end
-
 (* candidates must stay structurally well-formed; full platform checking
    happens on the final program (intermediate pipeline states legitimately
    mix source and target features) *)
@@ -313,7 +201,7 @@ let eval_site_speculative ~jobs ~want_score ~op ~shape k site values =
             if not (compile_ok candidate) then Spec_rejected
             else if Atomic.get winner < idx then Spec_cancelled
             else begin
-              match eval_scored_cached ~op ~shape candidate with
+              match Unit_test.verdict_scored op shape candidate with
               | Unit_test.Pass, _ ->
                 let rec publish () =
                   let cur = Atomic.get winner in
@@ -427,12 +315,12 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
   let unit_ok k =
     incr tests;
     charge clock Vclock.Unit_test 45.0;
-    timed wall_test (fun () -> check_cached ~trials:1 op shape k) = Unit_test.Pass
+    timed wall_test (fun () -> Unit_test.verdict ~trials:1 op shape k) = Unit_test.Pass
   in
   let fully_ok k =
     incr tests;
     charge clock Vclock.Unit_test 90.0;
-    timed wall_test (fun () -> check_cached ~trials:2 op shape k) = Unit_test.Pass
+    timed wall_test (fun () -> Unit_test.verdict ~trials:2 op shape k) = Unit_test.Pass
   in
   (* evaluate one site's candidate batch; [on_failed] feeds the hill-climb.
      The speculative path clamps the batch to the remaining test budget up
@@ -462,7 +350,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
               else if unit_ok candidate then Some candidate
               else begin
                 (if want_score then
-                   let score = timed wall_score (fun () -> mismatch_score ~op ~shape candidate) in
+                   let score = timed wall_score (fun () -> Unit_test.score op shape candidate) in
                    on_failed candidate score);
                 None
               end
@@ -493,7 +381,7 @@ let repair ?(max_tests = 200) ?(rounds = 2) ?(static = []) ?clock ?(speculative 
             tests_run = !tests
           }
       else begin
-        let base_score = timed wall_score (fun () -> mismatch_score ~op ~shape k) in
+        let base_score = timed wall_score (fun () -> Unit_test.score op shape k) in
         let best_partial = ref None in
         (* several faults may coexist: remember the candidate that brings
            the output closest to the reference *)

@@ -56,12 +56,6 @@ val speculation_totals : unit -> spec_stats
 
 val reset_speculation_totals : unit -> unit
 
-val reset_verdict_memo : unit -> unit
-(** Drop the process-global candidate verdict/score memo (unit-test trial
-    verdicts and mismatch scores keyed by structural kernel identity). The
-    memo obeys [Xpiler_smt.Memo.set_enabled] and bypasses itself while
-    tracing, so traced journals are byte-identical cold vs warm. *)
-
 type wall_stats = {
   repairs : int;
   wall_seconds : float;  (** total time inside {!repair} *)

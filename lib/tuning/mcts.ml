@@ -77,16 +77,23 @@ let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~prefix ~buffer_si
   (* L1: reward by state for this search's own repeats *)
   let seen : float KTbl.t = KTbl.create 128 in
   let platform_id = platform.Xpiler_machine.Platform.id in
-  let tt_find k =
-    if share then
-      Transposition.find ~platform:platform_id ~budget:config.intra_candidates
-        ~prune:config.prune ~compose:config.compose k
-    else None
-  in
-  let tt_store k e =
-    if share then
-      Transposition.store ~platform:platform_id ~budget:config.intra_candidates
-        ~prune:config.prune ~compose:config.compose k e
+  let evaluate k () =
+    Transposition.count_eval ();
+    Trace.without (fun () ->
+        if not (Intra.compiles platform k) then
+          { Transposition.reward = 0.0; evaluated = 0; pruned = 0 }
+        else begin
+          let v, st =
+            Intra.tune_with_stats
+              ~charge:(fun _ -> ())
+              ~jobs ~prune:config.prune ~compose:config.compose
+              ~max_candidates:config.intra_candidates ~platform k
+          in
+          { Transposition.reward = v.Intra.throughput;
+            evaluated = st.Intra.evaluated;
+            pruned = st.Intra.pruned
+          }
+        end)
   in
   (* reward = best intra-tuned throughput of the state; 0 for invalid states *)
   let reward (k : Kernel.t) rspecs =
@@ -95,29 +102,10 @@ let search_one ~config ~sims ~seed ~charge ?(jobs = 1) ~share ~prefix ~buffer_si
       | Some r -> r
       | None ->
         let entry =
-          match tt_find k with
-          | Some e -> e
-          | None ->
-            Transposition.count_eval ();
-            let e =
-              Trace.without (fun () ->
-                  if not (Intra.compiles platform k) then
-                    { Transposition.reward = 0.0; evaluated = 0; pruned = 0 }
-                  else begin
-                    let v, st =
-                      Intra.tune_with_stats
-                        ~charge:(fun _ -> ())
-                        ~jobs ~prune:config.prune ~compose:config.compose
-                        ~max_candidates:config.intra_candidates ~platform k
-                    in
-                    { Transposition.reward = v.Intra.throughput;
-                      evaluated = st.Intra.evaluated;
-                      pruned = st.Intra.pruned
-                    }
-                  end)
-            in
-            tt_store k e;
-            e
+          if share then
+            Transposition.find_or_add ~platform:platform_id ~budget:config.intra_candidates
+              ~prune:config.prune ~compose:config.compose k (evaluate k)
+          else evaluate k ()
         in
         (* canonical receipt replay — identical for hits and fresh runs *)
         if entry.Transposition.reward > 0.0 then begin

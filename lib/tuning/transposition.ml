@@ -83,18 +83,25 @@ let eval_count = Atomic.make 0
 let key ~platform ~budget ~prune ~compose kernel =
   { Key.platform; budget; prune; compose; kernel }
 
-let find ~platform ~budget ~prune ~compose kernel =
-  let r = KCache.find table (key ~platform ~budget ~prune ~compose kernel) in
-  Metrics.inc (match r with Some _ -> m_hits | None -> m_misses);
-  r
-
-let store ~platform ~budget ~prune ~compose kernel entry =
-  let dropped = KCache.add table (key ~platform ~budget ~prune ~compose kernel) entry in
+let note_insert dropped =
   Metrics.set m_entries (float_of_int (KCache.length table));
   if dropped > 0 then begin
     Metrics.inc ~n:dropped m_evictions;
     Trace.count ~n:dropped "mcts.tt_evictions"
   end
+
+(* root-parallel searchers can evaluate one state at the same time; the
+   first to finish inserts it and the others take its entry, so the
+   observer (the durable store's write-through) sees every state once,
+   whatever the schedule *)
+let find_or_add ~platform ~budget ~prune ~compose kernel evaluate =
+  let r = KCache.find_or_add table (key ~platform ~budget ~prune ~compose kernel) evaluate in
+  Metrics.inc (if r.hit then m_hits else m_misses);
+  if not r.hit then note_insert r.evicted;
+  r.value
+
+let store ~platform ~budget ~prune ~compose kernel entry =
+  note_insert (KCache.add table (key ~platform ~budget ~prune ~compose kernel) entry)
 
 (* silent: a replay must not emit the eviction trace counts the original
    run never produced *)

@@ -41,14 +41,18 @@ module Key : sig
   val hash : t -> int
 end
 
-val find :
+val find_or_add :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
-  Xpiler_ir.Kernel.t -> entry option
-(** Counted as a hit or a miss in {!hits}/{!misses}. *)
+  Xpiler_ir.Kernel.t -> (unit -> entry) -> entry
+(** The stored entry, else the evaluation's (run outside the table lock),
+    stored. Counted as a hit or a miss in {!hits}/{!misses}. Of concurrent
+    evaluations of one state only the first is stored (the others count a
+    hit and return it), so the observer sees each state once. *)
 
 val store :
   platform:Platform.id -> budget:int -> prune:bool -> compose:bool ->
   Xpiler_ir.Kernel.t -> entry -> unit
+(** Insert or replace unconditionally. *)
 
 val count_eval : unit -> unit
 (** Record one fresh reward evaluation (an actual [Intra.tune] run). {!Mcts}
@@ -77,6 +81,7 @@ val fold : (Key.t -> entry -> 'a -> 'a) -> 'a -> 'a
 (** Fold over the live entries (order unspecified), for snapshot dumps. *)
 
 val set_observer : (Key.t -> entry -> unit) option -> unit
-(** Hook called on every fresh {!store} — outside the table mutex, possibly
-    from pool worker domains, so the observer must synchronize internally.
-    The durable store uses it to append to its write-ahead log. *)
+(** Hook called on every fresh insert ({!find_or_add} miss, {!store}) —
+    outside the table mutex, possibly from pool worker domains, so the
+    observer must synchronize internally. The durable store uses it to
+    append to its write-ahead log. *)

@@ -18,6 +18,7 @@ module Summary = Xpiler_obs.Summary
 module Metrics = Xpiler_obs.Metrics
 module Prof = Xpiler_obs.Prof
 module BH = Xpiler_obs.Bench_history
+module Repairer = Xpiler_repair.Repairer
 
 let gemm = Registry.find_exn "gemm"
 let gemm_shape = [ ("m", 32); ("n", 64); ("k", 64) ]
@@ -390,6 +391,38 @@ let test_snapshot_jobs_deterministic () =
   Alcotest.(check bool) "stable snapshot is non-trivial" true
     (String.length s1 > String.length "[]")
 
+(* at fault scale 20 the repairer speculates over the pool, whose workers
+   run unit tests (and so reach the compile cache and the verdict memo) for
+   candidates a serial run never tests: none of that may leak into the
+   stable snapshot *)
+let test_snapshot_jobs_deterministic_faulty () =
+  forcing_domains @@ fun () ->
+  let cells =
+    [ ("gemm", Platform.Bang, Platform.Cuda);
+      ("layernorm", Platform.Cuda, Platform.Bang);
+      ("softmax", Platform.Hip, Platform.Vnni) ]
+  in
+  let run jobs =
+    Unit_test.reset_memo ();
+    Metrics.reset ();
+    List.iter
+      (fun (name, src, dst) ->
+        let op = Registry.find_exn name in
+        let config = Config.with_jobs (Config.with_fault_scale Config.default 20.0) jobs in
+        ignore (Xpiler.transcompile ~config ~src ~dst ~op ~shape:(List.hd op.Opdef.shapes) ()))
+      cells;
+    Json.to_string (Metrics.to_json (Metrics.snapshot ~stable_only:true ()))
+  in
+  (* warm-up: the solver memo (whose lookups are stable metrics) starts
+     both compared runs in the same state *)
+  ignore (run 1);
+  let s1 = run 1 in
+  Repairer.reset_speculation_totals ();
+  let s2 = run 2 in
+  Alcotest.(check string) "stable snapshot byte-identical across jobs" s1 s2;
+  Alcotest.(check bool) "repair speculated over the pool" true
+    ((Repairer.speculation_totals ()).Repairer.batches > 0)
+
 (* ---- bench history ------------------------------------------------------- *)
 
 let entry ?(smoke = true) ?time bench metrics = { BH.bench; smoke; time; metrics }
@@ -612,7 +645,9 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "stable snapshot across jobs" `Quick
-            test_snapshot_jobs_deterministic
+            test_snapshot_jobs_deterministic;
+          Alcotest.test_case "stable snapshot across jobs under faults" `Slow
+            test_snapshot_jobs_deterministic_faulty
         ] );
       ( "bench-history",
         [ Alcotest.test_case "entry roundtrip" `Quick test_history_roundtrip;

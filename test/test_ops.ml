@@ -199,7 +199,15 @@ let test_shape_of_string () =
       ("q=1,m=1,n=1,k=1", Error ());
       ("m=1,,n=1,k=1", Error ());
       ("m=1=2,n=1,k=1", Error ());
-      ("", Error ())
+      ("", Error ());
+      (* element budget: 3 * 4096^2 elements fit, 3 * 8192^2 do not *)
+      ("m=4096,n=4096,k=4096", Ok [ ("m", 4096); ("n", 4096); ("k", 4096) ]);
+      ("m=8192,n=8192,k=8192", Error ());
+      ("m=100000,n=100000,k=100000", Error ());
+      ("m=1,n=1,k=67108864", Error ());
+      (* products that would overflow the size arithmetic *)
+      ("m=2097152,n=2097152,k=2097152", Error ());
+      ("m=4611686018427387903,n=2,k=2", Error ())
     ];
   (* every registered shape round-trips through its text form *)
   List.iter
@@ -212,6 +220,143 @@ let test_shape_of_string () =
           Alcotest.check ok (op.name ^ " " ^ text) (Ok shape) (Opdef.shape_of_string op text))
         op.shapes)
     Registry.all
+
+(* ---- verdict memo -------------------------------------------------------- *)
+
+module Kgen = Test_support.Kgen
+module Rng = Xpiler_util.Rng
+
+(* a pseudo-operator over the fuzz generator's buffers whose reference is
+   [reference]; every such op is named "fuzz" *)
+let fuzz_op reference : Opdef.t =
+  { name = "fuzz";
+    cls = Opdef.Elementwise;
+    shapes = [ [] ];
+    buffers =
+      List.map
+        (fun (buf_name, size) ->
+          { Opdef.buf_name; dtype = Dtype.F32; size = (fun _ -> size);
+            is_output = String.equal buf_name "out" })
+        Kgen.buffer_sizes;
+    serial = (fun _ -> reference);
+    flops = (fun _ -> 1.0)
+  }
+
+let store_kernel value =
+  Kernel.make ~name:"fuzz"
+    ~params:[ Builder.buffer "a"; Builder.buffer "b"; Builder.buffer "out" ]
+    [ Stmt.Store { buf = "out"; index = Expr.Int 0; value } ]
+
+let verdict_t =
+  Alcotest.testable
+    (fun ppf -> function
+      | Unit_test.Pass -> Format.pp_print_string ppf "pass"
+      | Unit_test.Fail m -> Format.fprintf ppf "fail: %s" m)
+    ( = )
+
+(* the fuzz corpus: each kernel judged against itself, a fault-injected
+   copy of itself and an unrelated kernel *)
+let memo_corpus () =
+  List.init 40 (fun seed ->
+      let k = Kgen.kernel (Rng.create seed) in
+      let injected =
+        match Xpiler_neural.Fault.inject_index (Rng.create (seed + 99)) k with
+        | Some (broken, _) -> [ broken ]
+        | None -> []
+      in
+      (fuzz_op k, (k :: injected) @ [ Kgen.kernel (Rng.create (seed + 1000)) ]))
+
+let test_memo_matches_oracle () =
+  Unit_test.reset_memo ();
+  let passes = ref 0 and fails = ref 0 in
+  List.iter
+    (fun (op, kernels) ->
+      List.iter
+        (fun k ->
+          let oracle = Unit_test.check op [] k in
+          let trial0 = Unit_test.check ~trials:1 op [] k in
+          let scored = Unit_test.check_scored op [] k in
+          let score = Unit_test.mismatch_score op [] k in
+          if oracle = Unit_test.Pass then incr passes else incr fails;
+          (* cold, then warm *)
+          for _ = 1 to 2 do
+            Alcotest.check verdict_t "trial 0" trial0 (Unit_test.verdict ~trials:1 op [] k);
+            Alcotest.check verdict_t "two trials" oracle (Unit_test.verdict op [] k);
+            Alcotest.(check (pair verdict_t int))
+              "scored" scored (Unit_test.verdict_scored op [] k);
+            Alcotest.(check int) "score" score (Unit_test.score op [] k)
+          done)
+        kernels)
+    (memo_corpus ());
+  Alcotest.(check bool) "corpus has passing and failing kernels" true (!passes > 0 && !fails > 0);
+  Alcotest.(check bool) "the memo was used" true ((Unit_test.memo_stats ()).hits > 0)
+
+let test_memo_trials_reuse () =
+  let gemm = Registry.find_exn "gemm" in
+  let shape = List.hd gemm.Opdef.shapes in
+  let k = gemm.Opdef.serial shape in
+  Unit_test.reset_memo ();
+  let before = Unit_test.memo_stats () in
+  Alcotest.check verdict_t "one trial" Unit_test.Pass (Unit_test.verdict ~trials:1 gemm shape k);
+  Alcotest.(check int) "one entry" 1 (Unit_test.memo_length ());
+  Alcotest.check verdict_t "two trials" Unit_test.Pass (Unit_test.verdict ~trials:2 gemm shape k);
+  Alcotest.(check int) "two entries" 2 (Unit_test.memo_length ());
+  let after = Unit_test.memo_stats () in
+  Alcotest.(check int) "trial 0 reused" 1 (after.hits - before.hits);
+  Alcotest.(check int) "one miss per trial" 2 (after.misses - before.misses)
+
+let test_memo_op_identity () =
+  let k1 = store_kernel (Expr.Float 1.0) and k2 = store_kernel (Expr.Float 2.0) in
+  let op1 = fuzz_op k1 and op2 = fuzz_op k2 in
+  Unit_test.reset_memo ();
+  Alcotest.check verdict_t "own reference" Unit_test.Pass (Unit_test.verdict op1 [] k1);
+  (* same name, same shape, same kernel: only the op's identity differs *)
+  let expect = Unit_test.check op2 [] k1 in
+  Alcotest.(check bool) "the other reference rejects it" true (expect <> Unit_test.Pass);
+  Alcotest.check verdict_t "not served op1's verdict" expect (Unit_test.verdict op2 [] k1)
+
+(* Kernel.equal compares floats with Float.equal and Kernel.hash normalises
+   -0.0, so a structural key would serve one of these kernels the other's
+   verdict; the memo keys on the content digest instead *)
+let test_memo_signed_zero () =
+  let clamp_inv zero =
+    store_kernel
+      (Expr.Binop (Expr.Min, Expr.Binop (Expr.Div, Expr.Float 1.0, Expr.Float zero), Expr.Float 1.0))
+  in
+  let pos = clamp_inv 0.0 and neg = clamp_inv (-0.0) in
+  let op = fuzz_op pos in
+  Unit_test.reset_memo ();
+  List.iter
+    (fun (name, k) ->
+      Alcotest.check verdict_t name (Unit_test.check op [] k) (Unit_test.verdict op [] k))
+    [ ("1.0 / 0.0", pos); ("1.0 / -0.0", neg); ("1.0 / 0.0 again", pos); ("1.0 / -0.0 again", neg) ];
+  Alcotest.(check bool) "the two kernels get different verdicts" true
+    (Unit_test.verdict op [] pos <> Unit_test.verdict op [] neg)
+
+let test_memo_bypassed_while_tracing () =
+  let k = store_kernel (Expr.Float 3.0) in
+  let op = fuzz_op k in
+  Unit_test.reset_memo ();
+  Xpiler_obs.Trace.install (Xpiler_obs.Tracer.create ());
+  Fun.protect ~finally:Xpiler_obs.Trace.uninstall (fun () ->
+      ignore (Unit_test.verdict op [] k);
+      ignore (Unit_test.verdict_scored op [] k);
+      ignore (Unit_test.score op [] k));
+  Alcotest.(check int) "nothing stored" 0 (Unit_test.memo_length ());
+  ignore (Unit_test.verdict op [] k);
+  Alcotest.(check int) "stored once the tracer is gone" 2 (Unit_test.memo_length ())
+
+let test_memo_capacity () =
+  let op = fuzz_op (store_kernel (Expr.Float 0.0)) in
+  Unit_test.reset_memo ();
+  let before = Unit_test.memo_stats () in
+  for i = 0 to Unit_test.memo_capacity + 100 do
+    ignore (Unit_test.verdict ~trials:1 op [] (store_kernel (Expr.Float (float_of_int i))));
+    if Unit_test.memo_length () > Unit_test.memo_capacity then
+      Alcotest.failf "memo holds %d entries after %d kernels" (Unit_test.memo_length ()) (i + 1)
+  done;
+  Alcotest.(check bool) "entries were evicted" true
+    ((Unit_test.memo_stats ()).evictions > before.evictions)
 
 let () =
   Alcotest.run "ops"
@@ -236,6 +381,14 @@ let () =
           Alcotest.test_case "cuda idioms use grid" `Quick test_cuda_idioms_use_grid;
           Alcotest.test_case "cuda gemm tensor core" `Quick test_cuda_gemm_uses_tensor_core;
           Alcotest.test_case "source text re-parses" `Quick test_idiom_source_text_parses_back
+        ] );
+      ( "memo",
+        [ Alcotest.test_case "matches the oracle" `Quick test_memo_matches_oracle;
+          Alcotest.test_case "two trials reuse one" `Quick test_memo_trials_reuse;
+          Alcotest.test_case "op identity" `Quick test_memo_op_identity;
+          Alcotest.test_case "signed zero" `Quick test_memo_signed_zero;
+          Alcotest.test_case "bypassed while tracing" `Quick test_memo_bypassed_while_tracing;
+          Alcotest.test_case "bounded" `Quick test_memo_capacity
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_case_idioms ])
     ]

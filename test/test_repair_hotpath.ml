@@ -8,7 +8,8 @@
      canonical effect replay);
    - cold vs warm: re-running a traced translation against warm memos yields
      a byte-identical journal (memo entries carry their original search
-     receipts, and the verdict memo bypasses itself while tracing);
+     receipts, and the unit-test verdict memo bypasses itself while
+     tracing);
    - speculative vs serial: both engines accept the same repair (the first
      passing candidate in batch order). *)
 
@@ -47,7 +48,7 @@ let traced ?(seed = 11) ~jobs scale =
 let cold () =
   Memo.clear ();
   Memo.reset_stats ();
-  Repairer.reset_verdict_memo ()
+  Unit_test.reset_memo ()
 
 (* [Unit_test.reference_outputs_seeded] caches the serial reference run
    process-globally (pre-overhaul behaviour): a cold-cache run emits the
@@ -82,6 +83,21 @@ let test_cold_vs_warm_journal () =
   let o_warm = run ~config in
   Alcotest.(check bool) "warm run hit the solver memo" true
     (Memo.hits () > hits_after_cold);
+  Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
+  Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
+
+(* the unit-test verdict memo bypasses itself while tracing: a traced
+   translation after an untraced one filled the memo writes the journal a
+   cold-memo run writes *)
+let test_warm_verdict_memo_journal () =
+  let config = traced ~seed:3 ~jobs:1 20.0 in
+  warm_refs config;
+  cold ();
+  let o_cold = run ~config in
+  cold ();
+  ignore (run ~config:(Config.with_trace config Xpiler_obs.Tracer.Off));
+  Alcotest.(check bool) "the untraced run filled the memo" true (Unit_test.memo_length () > 0);
+  let o_warm = run ~config in
   Alcotest.(check bool) "same status" true (o_cold.Xpiler.status = o_warm.Xpiler.status);
   Alcotest.(check string) "byte-identical journal" (journal o_cold) (journal o_warm)
 
@@ -161,6 +177,8 @@ let () =
             test_jobs_invariant_journal;
           Alcotest.test_case "cold vs warm byte-identical journal" `Slow
             test_cold_vs_warm_journal;
+          Alcotest.test_case "warm verdict memo byte-identical journal" `Slow
+            test_warm_verdict_memo_journal;
           Alcotest.test_case "speculative matches serial (pipeline)" `Slow
             test_speculative_matches_serial_pipeline;
           Alcotest.test_case "speculative matches serial (repairer)" `Quick
